@@ -4,7 +4,9 @@
 //! Each spatial pillar (a disjoint set of users, so parallel composition
 //! grants it the full budget) is transformed with the DFT; the `k` lowest
 //! frequencies are perturbed with Laplace noise and the rest are dropped;
-//! the inverse transform yields the DP series.
+//! the inverse transform yields the DP series. Only the kept coefficients
+//! are ever computed, from one shared cos/sin table, so a pillar costs
+//! O(kT) rather than the O(T²) of a full transform pair.
 //!
 //! Removing one user changes the pillar series by at most `clip` per step,
 //! i.e. by L2 distance `clip·√T` — which the orthonormal DFT preserves. The
@@ -46,47 +48,70 @@ impl Mechanism for Fourier {
     ) -> ConsumptionMatrix {
         let _span = stpt_obs::span!("baseline.fourier");
         let t = c.ct();
-        let k = self.k.min(t);
+        // A real series has ⌊T/2⌋+1 distinct frequencies; the rest are
+        // conjugate mirrors of those, so a larger k would keep nothing new.
+        let k = self.k.min(t / 2 + 1);
         // The √(2kT) bound applies to the *orthonormal* (1/√T-scaled) DFT
-        // coefficients (2k real components); our [`dft`] is unnormalised, so
-        // the equivalent per-component noise carries an extra √T factor.
+        // coefficients (2k real components); the ones below are unnormalised
+        // (as in [`dft`]), so the per-component noise carries an extra √T.
         let scale = clip * ((2 * k * t) as f64).sqrt() * (t as f64).sqrt() / eps_total;
+        // cos/sin of 2πm/T: the angle of term (j, n) is 2π·(n·j mod T)/T.
+        let angle = |m: usize| 2.0 * std::f64::consts::PI * m as f64 / t as f64;
+        let cos: Vec<f64> = (0..t).map(|m| angle(m).cos()).collect();
+        let sin: Vec<f64> = (0..t).map(|m| angle(m).sin()).collect();
+        let mut re = vec![0.0; k];
+        let mut im = vec![0.0; k];
         let mut out = c.clone();
-        for (x, y) in c.pillar_coords().collect::<Vec<_>>() {
+        for (x, y) in c.pillar_coords() {
             let pillar = c.pillar(x, y);
-            let (mut re, mut im) = dft(pillar);
-            // Perturb the k lowest frequencies, zero the rest (the
-            // symmetric conjugates are restored for a real inverse).
-            for j in 0..t {
-                let keep = j < k || (j > 0 && t - j < k);
-                if !keep {
-                    re[j] = 0.0;
-                    im[j] = 0.0;
+            // Only the k lowest frequencies survive, so only they are
+            // computed, each perturbed as it is formed. The DC (and
+            // Nyquist) terms of a real signal have no imaginary part.
+            for j in 0..k {
+                let (mut r, mut i, mut m) = (0.0, 0.0, 0);
+                for &xn in pillar {
+                    r += xn * cos[m];
+                    i -= xn * sin[m];
+                    m += j;
+                    if m >= t {
+                        m -= t;
+                    }
                 }
-            }
-            for j in 0..k.min(t) {
-                re[j] += laplace_sample(scale, rng);
-                if j > 0 && j < t - j {
-                    im[j] += laplace_sample(scale, rng);
+                re[j] = r + laplace_sample(scale, rng);
+                im[j] = if j > 0 && 2 * j < t {
+                    i + laplace_sample(scale, rng)
                 } else {
-                    im[j] = 0.0; // DC (and Nyquist) terms of a real signal
-                }
-                // Mirror to keep the inverse real.
-                if j > 0 {
-                    re[t - j] = re[j];
-                    im[t - j] = -im[j];
-                }
+                    0.0
+                };
             }
-            let rec = idft_real(&re, &im);
-            out.pillar_mut(x, y).copy_from_slice(&rec);
+            // Real inverse over the kept set: every frequency but DC and
+            // Nyquist also stands for its conjugate mirror T−j, which keeps
+            // the output real and doubles its term.
+            for (n, o) in out.pillar_mut(x, y).iter_mut().enumerate() {
+                let (mut acc, mut m) = (0.0, 0);
+                for j in 0..k {
+                    let term = re[j] * cos[m] - im[j] * sin[m];
+                    acc += if j == 0 || 2 * j == t {
+                        term
+                    } else {
+                        2.0 * term
+                    };
+                    m += n;
+                    if m >= t {
+                        m -= t;
+                    }
+                }
+                *o = acc / t as f64;
+            }
         }
         out
     }
 }
 
 /// Naive O(T²) discrete Fourier transform of a real series, returning
-/// `(re, im)` coefficient vectors. Series here are short (hundreds of
-/// points), so the quadratic transform is plenty fast and trivially correct.
+/// `(re, im)` coefficient vectors. [`Fourier`] does not call it: it is the
+/// trivially correct oracle that tests hold the O(kT) kept-coefficient
+/// path against.
 pub fn dft(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let t = x.len();
     let mut re = vec![0.0; t];
@@ -102,7 +127,7 @@ pub fn dft(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
     (re, im)
 }
 
-/// Inverse DFT returning the real part.
+/// Inverse DFT returning the real part (the oracle's other half).
 pub fn idft_real(re: &[f64], im: &[f64]) -> Vec<f64> {
     let t = re.len();
     let mut out = vec![0.0; t];
@@ -121,6 +146,114 @@ pub fn idft_real(re: &[f64], im: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FPA the naive way: full [`dft`], keep and perturb the k lowest
+    /// frequencies (re before im, ascending j), mirror them, full
+    /// [`idft_real`].
+    fn fpa_oracle(
+        c: &ConsumptionMatrix,
+        k: usize,
+        clip: f64,
+        eps_total: f64,
+        rng: &mut DpRng,
+    ) -> ConsumptionMatrix {
+        let t = c.ct();
+        let k = k.min(t / 2 + 1);
+        let scale = clip * ((2 * k * t) as f64).sqrt() * (t as f64).sqrt() / eps_total;
+        let mut out = c.clone();
+        for (x, y) in c.pillar_coords() {
+            let (re, im) = dft(c.pillar(x, y));
+            let (mut kre, mut kim) = (vec![0.0; t], vec![0.0; t]);
+            for j in 0..k {
+                kre[j] = re[j] + laplace_sample(scale, rng);
+                if j > 0 && j < t - j {
+                    kim[j] = im[j] + laplace_sample(scale, rng);
+                }
+                if j > 0 {
+                    kre[t - j] = kre[j];
+                    kim[t - j] = -kim[j];
+                }
+            }
+            out.pillar_mut(x, y).copy_from_slice(&idft_real(&kre, &kim));
+        }
+        out
+    }
+
+    fn wiggly(cx: usize, cy: usize, t: usize) -> ConsumptionMatrix {
+        let mut m = ConsumptionMatrix::zeros(cx, cy, t);
+        for (i, v) in m.data_mut().iter_mut().enumerate() {
+            *v = 3.0 + (i as f64 * 0.7).sin() + ((i * 7919) % 13) as f64 / 13.0;
+        }
+        m
+    }
+
+    fn max_abs_diff(a: &ConsumptionMatrix, b: &ConsumptionMatrix) -> f64 {
+        a.data()
+            .iter()
+            .zip(b.data())
+            .map(|(p, q)| (p - q).abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn kept_coefficient_path_matches_naive_oracle() {
+        use rand::RngCore;
+        for t in [1, 2, 7, 8, 220] {
+            let side = if t > 100 { 3 } else { 2 };
+            let m = wiggly(side, side, t);
+            for k in [1, t / 2, t / 2 + 1, 10, 20] {
+                if k == 0 {
+                    continue;
+                }
+                let mut fast_rng = DpRng::seed_from_u64(t as u64 * 31 + k as u64);
+                let mut slow_rng = fast_rng.clone();
+                let fast = Fourier::new(k).sanitize(&m, 1.5, 20.0, &mut fast_rng);
+                let slow = fpa_oracle(&m, k, 1.5, 20.0, &mut slow_rng);
+                let diff = max_abs_diff(&fast, &slow);
+                assert!(diff < 1e-9, "T={t} k={k}: max diff {diff}");
+                assert_eq!(
+                    fast_rng.next_u64(),
+                    slow_rng.next_u64(),
+                    "T={t} k={k}: draw order or count differs from the oracle"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_frequency_kept_reproduces_the_input() {
+        // k = T exceeds the ⌊T/2⌋+1 distinct frequencies of a real series;
+        // it must keep them all (sine parts included), not fold the upper
+        // half back onto the lower.
+        for t in [7, 8, 33, 36] {
+            let m = wiggly(1, 1, t);
+            let mut rng = DpRng::seed_from_u64(t as u64);
+            let out = Fourier::new(t).sanitize(&m, 1.0, 1e12, &mut rng);
+            let diff = max_abs_diff(&out, &m);
+            assert!(diff < 1e-6, "T={t}: max diff {diff}");
+        }
+    }
+
+    #[test]
+    fn noiseless_error_never_grows_with_k() {
+        for t in [8, 9] {
+            let m = wiggly(1, 1, t);
+            let err = |k: usize| {
+                let mut rng = DpRng::seed_from_u64(5);
+                let out = Fourier::new(k).sanitize(&m, 1.0, 1e12, &mut rng);
+                max_abs_diff(&out, &m)
+            };
+            for k in 1..t {
+                assert!(
+                    err(k + 1) <= err(k) + 1e-6,
+                    "T={t}: error rose from k={k} ({}) to k={} ({})",
+                    err(k),
+                    k + 1,
+                    err(k + 1)
+                );
+            }
+        }
+    }
 
     #[test]
     fn dft_roundtrip_is_identity() {
