@@ -1,11 +1,12 @@
 //! `serve_bench` — load generator for the `stpt-serve` batch engine.
 //!
-//! Sanitizes one release, then sweeps the rayon pool over 1..N threads
-//! measuring how many range queries per second [`stpt_serve::answer_batch`]
-//! sustains against the in-memory prefix-sum table. After the sweep it
-//! closes the serving ledger bracket and embeds the ε-freeness proof, so
-//! the committed artifact carries *both* promises the daemon makes:
-//! throughput and zero ε spent while serving.
+//! Sanitizes one release, then measures how many range queries per second
+//! [`stpt_serve::answer_batch`] sustains on one thread against the
+//! in-memory prefix-sum table. `answer_batch` is a sequential map, so one
+//! timed row is the whole measurement. It then closes the serving ledger
+//! bracket and embeds the ε-freeness proof, so the committed artifact
+//! carries *both* promises the daemon makes: throughput and zero ε spent
+//! while serving.
 //!
 //! Writes `BENCH_serve.json` (gated by `cargo xtask regress`); `--quick`
 //! shrinks the release and the measurement window and writes
@@ -23,8 +24,7 @@ use stpt_serve::{answer_batch, ReleaseSpec};
 const TARGET_QPS: f64 = 1_000_000.0;
 
 #[derive(Serialize)]
-struct ThreadResult {
-    threads: usize,
+struct Row {
     qps: f64,
     batches: u64,
 }
@@ -45,7 +45,7 @@ struct BenchDoc {
     target_qps: f64,
     best_qps: f64,
     zero_spend: ZeroSpend,
-    results: Vec<ThreadResult>,
+    results: Vec<Row>,
 }
 
 fn main() {
@@ -101,56 +101,28 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5e57e);
     let queries = generate_queries(QueryClass::Random, batch_size, release.shape, &mut rng);
 
-    // Thread sweep: 1, 2, 4, ... up to the machine's parallelism (at
-    // least 4 configured pool sizes, so the artifact records scaling —
-    // or oversubscription — behaviour even on small CI boxes).
-    let max_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .max(4);
-    let mut sweep = Vec::new();
-    let mut t = 1;
-    while t < max_threads {
-        sweep.push(t);
-        t *= 2;
-    }
-    sweep.push(max_threads);
-    sweep.dedup();
-
     println!(
-        "serve_bench: {batch_size} random queries/batch, {}ms window, threads {sweep:?}",
+        "serve_bench: {batch_size} random queries/batch, {}ms window",
         window.as_millis()
     );
-    let mut results = Vec::new();
-    for &threads in &sweep {
-        rayon::set_num_threads(threads);
-        // Warmup: fault in the pool and the table.
-        for _ in 0..3 {
-            let _ = answer_batch(&release.prefix, &queries);
-        }
-        let start = Instant::now();
-        let mut batches = 0u64;
-        while start.elapsed() < window {
-            let answers = answer_batch(&release.prefix, &queries);
-            assert_eq!(answers.len(), queries.len());
-            batches += 1;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let qps = (batches * batch_size as u64) as f64 / elapsed;
-        release.note_queries(batches * batch_size as u64);
-        println!("  threads={threads:<3} {qps:>12.0} queries/sec ({batches} batches)");
-        results.push(ThreadResult {
-            threads,
-            qps,
-            batches,
-        });
+    // Warmup: fault in the table.
+    for _ in 0..3 {
+        let _ = answer_batch(&release.prefix, &queries);
     }
-    rayon::set_num_threads(0);
+    let start = Instant::now();
+    let mut batches = 0u64;
+    while start.elapsed() < window {
+        let answers = answer_batch(&release.prefix, &queries);
+        assert_eq!(answers.len(), queries.len());
+        batches += 1;
+    }
+    let qps = (batches * batch_size as u64) as f64 / start.elapsed().as_secs_f64();
+    release.note_queries(batches * batch_size as u64);
+    println!("  {qps:>12.0} queries/sec ({batches} batches)");
 
     // Close the serving bracket and prove ε-freeness over everything the
-    // sweep just did.
+    // measurement just did.
     let proof = release.prove().expect("serving must be ε-free");
-    let best_qps = results.iter().map(|r| r.qps).fold(0.0f64, f64::max);
     let doc = BenchDoc {
         benchmark: "serve_bench".to_string(),
         config: format!(
@@ -159,14 +131,14 @@ fn main() {
         ),
         unit: "range queries per second".to_string(),
         target_qps: TARGET_QPS,
-        best_qps,
+        best_qps: qps,
         zero_spend: ZeroSpend {
             verified: proof.verified,
             epsilon_spent_serving: proof.epsilon_spent_serving,
             epsilon_spent_total: proof.epsilon_spent_total,
             ledger_entries: proof.ledger_entries,
         },
-        results,
+        results: vec![Row { qps, batches }],
     };
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
@@ -177,12 +149,12 @@ fn main() {
     let json = serde_json::to_string_pretty(&doc).expect("bench doc serializes");
     std::fs::write(&out_path, json).expect("write bench artifact");
     println!(
-        "serve_bench: best {best_qps:.0} queries/sec (target {TARGET_QPS:.0}), \
+        "serve_bench: {qps:.0} queries/sec (target {TARGET_QPS:.0}), \
          eps spent serving = {} (verified={}) -> {out_path}",
         doc.zero_spend.epsilon_spent_serving, doc.zero_spend.verified
     );
-    if best_qps < TARGET_QPS && !quick {
-        eprintln!("serve_bench: WARNING: best qps below target — regress gate will fail");
+    if qps < TARGET_QPS && !quick {
+        eprintln!("serve_bench: WARNING: qps below target — regress gate will fail");
         std::process::exit(1);
     }
 }

@@ -5,7 +5,6 @@
 
 use crate::allocation::{allocate, BudgetAllocation};
 use crate::quantize::Partition;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use stpt_data::ConsumptionMatrix;
 use stpt_dp::prelude::*;
@@ -87,13 +86,12 @@ pub fn sanitize_partitions(
         )?;
     }
 
-    // Pre-fork one independent noise stream per partition in deterministic
-    // sequential order, *then* fan out (DESIGN.md §12): each partition's
-    // draw depends only on its fork position, never on which worker thread
-    // runs it, so the release is bit-identical at any `STPT_THREADS`.
+    // Fork one independent noise stream per partition in partition order
+    // before drawing (DESIGN.md §12): each partition's draw depends only on
+    // its fork position, never on the order the draws execute in.
     let jobs: Vec<(usize, DpRng)> = (0..partitions.len()).map(|i| (i, fork(rng))).collect();
     let noisy_sums: Vec<f64> = jobs
-        .into_par_iter()
+        .into_iter()
         .map(|(i, mut child)| {
             let part = &partitions[i];
             let mech = LaplaceMechanism::new(Sensitivity::new(sens[i]), Epsilon::new(budgets[i]));

@@ -3,7 +3,6 @@
 
 use crate::prefix::PrefixSum3D;
 use crate::query::RangeQuery;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use stpt_data::ConsumptionMatrix;
 use stpt_postprocess::Release;
@@ -53,9 +52,10 @@ pub fn evaluate_workload(
 /// denominator floor `rho`, normally [`default_rho`] of the truth matrix)
 /// once per instance and reuse them across evaluations.
 ///
-/// Per-query errors are computed in parallel through the `rayon` seam;
-/// results are collected in query order and reduced sequentially, so the
-/// returned metrics are bit-identical at any `STPT_THREADS`.
+/// Per-query errors are computed and reduced sequentially in query
+/// order: a workload is a few hundred pairs of O(1) prefix lookups, far
+/// less than one thread-pool region costs. Callers that evaluate many
+/// releases parallelise across those evaluations instead.
 pub fn evaluate_workload_with(
     truth_ps: &PrefixSum3D,
     rho: f64,
@@ -67,7 +67,7 @@ pub fn evaluate_workload_with(
     assert_eq!(truth_ps.shape(), sanitized.shape(), "matrix shapes differ");
     let ps_noisy = PrefixSum3D::new(sanitized);
     let mut errors: Vec<f64> = queries
-        .par_iter()
+        .iter()
         .map(|q| relative_error(truth_ps.range_sum(q), ps_noisy.range_sum(q), rho))
         .collect();
     let mre = errors.iter().sum::<f64>() / errors.len().max(1) as f64;

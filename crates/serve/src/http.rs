@@ -288,8 +288,10 @@ fn single_query_route(state: &ServerState, query_string: &str) -> Response {
 }
 
 /// `POST /query` with a JSON body: a batch of queries against one
-/// release. Per-query failures come back as per-answer errors so one
-/// hostile query cannot hide the rest of the batch.
+/// release. An out-of-bounds range comes back as a per-answer error and
+/// the rest of the batch is still answered; an empty or inverted range
+/// fails [`BatchRequest`] deserialization and rejects the whole batch
+/// with `400`.
 fn batch_query_route(state: &ServerState, body: &[u8]) -> Response {
     let text = match std::str::from_utf8(body) {
         Ok(t) => t,

@@ -27,9 +27,11 @@
 //! validating `Deserialize` impl (rejects empty/inverted ranges), bounds
 //! are checked by the fallible
 //! [`stpt_queries::PrefixSum3D::try_range_sum`], and malformed requests
-//! are answered `400`/`413`, never unwound. Batch evaluation fans out
-//! through the `rayon` seam with order-preserving collection, so answers
-//! are bit-identical at any `STPT_THREADS`.
+//! are answered `400`/`413`, never unwound. In a `POST /query` batch an
+//! empty or inverted range rejects the whole batch with `400`, while an
+//! out-of-bounds range fails only its own answer. Batch evaluation is a
+//! sequential map on the acceptor thread that read the request; the
+//! acceptors are the only concurrency, so the daemon links no thread pool.
 
 #![forbid(unsafe_code)]
 

@@ -2,9 +2,9 @@
 //! request reading, clean shutdown.
 //!
 //! Each acceptor owns a clone of the listener and handles accepted
-//! connections inline — query evaluation already fans out through the
-//! `rayon` seam inside [`crate::answer_batch`], so one OS thread per
-//! in-flight connection is enough to keep the pool fed. Shutdown is
+//! connections inline, query evaluation included: [`crate::answer_batch`]
+//! is a sequential map, so the acceptor count is the daemon's whole
+//! parallelism and no request opens a thread-pool region. Shutdown is
 //! cooperative: `POST /shutdown` (or [`ServeHandle::shutdown`]) raises
 //! the flag, and each acceptor that observes it makes one wake
 //! connection so the next blocked `accept` returns and the cascade

@@ -145,3 +145,53 @@ proptest! {
         }
     }
 }
+
+/// `POST /query` through the full bytes-in path with `body` as the payload.
+fn post_batch(body: &str) -> stpt_serve::Response {
+    let raw = format!(
+        "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    handle_bytes(state(), raw.as_bytes()).expect("well-formed HTTP gets a response")
+}
+
+/// The batch error rule, pinned: a range that is out of bounds for the
+/// release fails only its own answer, while an empty or inverted range
+/// (or any body not in the object wire format) rejects the whole batch.
+#[test]
+fn batch_errors_are_per_answer_only_for_out_of_bounds_ranges() {
+    let valid = r#"{"x":[0,2],"y":[0,2],"t":[0,4]}"#;
+
+    let resp = post_batch(&format!(
+        r#"{{"queries":[{valid},{{"x":[0,2],"y":[0,2],"t":[0,99]}}]}}"#
+    ));
+    assert_eq!(resp.status, "200 OK", "{}", resp.body);
+    let doc: serde::Value = serde_json::from_str(&resp.body).expect("response is JSON");
+    let fields = doc.as_object().expect("response is an object");
+    let answers = serde::get_field(fields, "answers")
+        .expect("answers field")
+        .as_array()
+        .expect("answers array");
+    assert_eq!(answers.len(), 2);
+    let field = |i: usize, name: &str| {
+        let answer = answers[i].as_object().expect("answer is an object");
+        serde::get_field(answer, name)
+            .expect("field present")
+            .clone()
+    };
+    assert!(field(0, "sum").as_f64().is_some(), "{}", resp.body);
+    assert!(field(0, "error").as_str().is_none(), "{}", resp.body);
+    assert!(field(1, "sum").as_f64().is_none(), "{}", resp.body);
+    let error = field(1, "error");
+    let error = error.as_str().expect("second answer carries an error");
+    assert!(error.contains("invalid t range"), "{error}");
+
+    let resp = post_batch(&format!(
+        r#"{{"queries":[{valid},{{"x":[5,1],"y":[0,2],"t":[0,4]}}]}}"#
+    ));
+    assert_eq!(resp.status, "400 Bad Request", "{}", resp.body);
+    assert!(resp.body.contains("invalid x range"), "{}", resp.body);
+
+    let resp = post_batch(r#"{"queries":[[0,2,0,2,0,4]]}"#);
+    assert_eq!(resp.status, "400 Bad Request", "{}", resp.body);
+}

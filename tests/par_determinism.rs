@@ -1,12 +1,13 @@
 //! Par == seq: thread count may change wall-clock, never bytes.
 //!
-//! The rayon seam promises order-preserving collects, and every hot path
-//! pre-forks its RNG children sequentially before fanning out, so the
-//! whole pipeline must produce bit-identical output whether it runs on
-//! one worker or many. These tests pin that contract at two levels: the
-//! full STPT pipeline (sanitised release + audit ledger) and the query
-//! workload metrics (parallel per-query evaluation + sequential float
-//! aggregation).
+//! The rayon seam promises order-preserving collects, and the figure
+//! binaries fan out across whole runs, so a library call must produce
+//! bit-identical output whether it runs on the caller, on a pool worker,
+//! or inline inside another region. The pipeline and the query metrics
+//! are sequential inside (partition noise draws from per-partition RNG
+//! forks taken in partition order), so these tests pin that no thread
+//! count leaks into them at two levels: the full STPT pipeline
+//! (sanitised release + audit ledger) and the query workload metrics.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -169,9 +170,9 @@ fn workload_at(threads: usize, seed: u64, n_queries: usize) -> WorkloadResult {
 }
 
 proptest! {
-    /// The cheap sweep: per-query evaluation fans out through the seam,
-    /// and the mean/median aggregation is sequential over the ordered
-    /// collect — so the metrics are bit-identical at 1 and 4 workers for
+    /// The cheap sweep: per-query evaluation and the mean/median
+    /// aggregation both run in query order on the calling thread — so
+    /// the metrics are bit-identical at 1 and 4 workers for
     /// arbitrary seeds and workload sizes (including odd/even lengths,
     /// which take different median branches).
     #[test]
