@@ -17,4 +17,4 @@ pub use metrics::{
     WorkloadResult,
 };
 pub use prefix::PrefixSum3D;
-pub use query::{generate_queries, InvalidRangeQuery, QueryClass, RangeQuery};
+pub use query::{generate_queries, EmptyRangeQuery, InvalidRangeQuery, QueryClass, RangeQuery};

@@ -32,16 +32,31 @@ impl Deserialize for RangeQuery {
         let x = <(usize, usize)>::from_value(serde::get_field(fields, "x")?)?;
         let y = <(usize, usize)>::from_value(serde::get_field(fields, "y")?)?;
         let t = <(usize, usize)>::from_value(serde::get_field(fields, "t")?)?;
-        for (axis, range) in [('x', x), ('y', y), ('t', t)] {
-            if range.0 >= range.1 {
-                return Err(serde::DeError::custom(format!(
-                    "invalid {axis} range {range:?}: empty or inverted"
-                )));
-            }
-        }
-        Ok(RangeQuery { x, y, t })
+        RangeQuery::try_nonempty(x, y, t).map_err(|e| serde::DeError::custom(e.to_string()))
     }
 }
+
+/// Error from [`RangeQuery::try_nonempty`]: a range whose lower end is
+/// not below its upper end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EmptyRangeQuery {
+    /// Failing axis: `'x'`, `'y'` or `'t'`.
+    pub axis: char,
+    /// The offending half-open range.
+    pub range: (usize, usize),
+}
+
+impl std::fmt::Display for EmptyRangeQuery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid {} range {:?}: empty or inverted",
+            self.axis, self.range
+        )
+    }
+}
+
+impl std::error::Error for EmptyRangeQuery {}
 
 /// Error from [`RangeQuery::try_new`]: which axis failed validation and
 /// with what bounds.
@@ -96,6 +111,24 @@ impl RangeQuery {
         for (axis, range, bound) in [('x', x, cx), ('y', y, cy), ('t', t, ct)] {
             if !(range.0 < range.1 && range.1 <= bound) {
                 return Err(InvalidRangeQuery { axis, range, bound });
+            }
+        }
+        Ok(RangeQuery { x, y, t })
+    }
+
+    /// The wire-boundary check: every range non-empty and non-inverted.
+    /// Upper bounds depend on the target matrix and are left to
+    /// [`crate::PrefixSum3D::try_range_sum`]. Every decoder of untrusted
+    /// queries goes through this one constructor, so an empty or inverted
+    /// range is rejected the same way on every path.
+    pub fn try_nonempty(
+        x: (usize, usize),
+        y: (usize, usize),
+        t: (usize, usize),
+    ) -> Result<Self, EmptyRangeQuery> {
+        for (axis, range) in [('x', x), ('y', y), ('t', t)] {
+            if range.0 >= range.1 {
+                return Err(EmptyRangeQuery { axis, range });
             }
         }
         Ok(RangeQuery { x, y, t })
@@ -265,6 +298,30 @@ mod tests {
         // Structurally malformed.
         assert!(serde_json::from_str::<RangeQuery>(r#"{"x":[0,1],"y":[0,2]}"#).is_err());
         assert!(serde_json::from_str::<RangeQuery>(r#"[1,2,3]"#).is_err());
+        // Fractional and negative coordinates are not silently cast.
+        for bad in [
+            r#"{"x":[-1,2],"y":[0,2],"t":[0,2]}"#,
+            r#"{"x":[0,2.9],"y":[0,2],"t":[0,2]}"#,
+            r#"{"x":[0.5,1e30],"y":[0,2],"t":[0,2]}"#,
+        ] {
+            assert!(serde_json::from_str::<RangeQuery>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn try_nonempty_names_the_axis() {
+        assert!(RangeQuery::try_nonempty((0, 1), (5, 6), (0, usize::MAX)).is_ok());
+        let e = RangeQuery::try_nonempty((0, 1), (2, 2), (0, 1)).unwrap_err();
+        assert_eq!(
+            e,
+            EmptyRangeQuery {
+                axis: 'y',
+                range: (2, 2)
+            }
+        );
+        assert_eq!(e.to_string(), "invalid y range (2, 2): empty or inverted");
+        let e = RangeQuery::try_nonempty((0, 1), (0, 1), (9, 3)).unwrap_err();
+        assert_eq!(e.axis, 't');
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! request to response, so the hostile-input surface is testable (and
 //! fuzzable) without sockets.
 
+use crate::codec::{decode_batch, encode_answers, push_json_string};
 use crate::engine::answer_batch;
 use crate::release::ReleaseCache;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 use stpt_obs::httpd::{self, Request, RequestError};
@@ -16,6 +17,13 @@ static REQUESTS_TOTAL: stpt_obs::Counter = stpt_obs::Counter::new("serve.request
 static ERRORS_TOTAL: stpt_obs::Counter = stpt_obs::Counter::new("serve.errors_total");
 /// Telemetry: wall-clock latency of query-route requests, microseconds.
 static QUERY_LATENCY_US: stpt_obs::Histogram = stpt_obs::Histogram::new("serve.query_latency_us");
+/// Telemetry: `POST /query` body decoding, microseconds.
+static STAGE_PARSE_US: stpt_obs::Histogram = stpt_obs::Histogram::new("serve.stage.parse_us");
+/// Telemetry: `POST /query` release lookup and batch evaluation,
+/// microseconds.
+static STAGE_EVAL_US: stpt_obs::Histogram = stpt_obs::Histogram::new("serve.stage.eval_us");
+/// Telemetry: `POST /query` response encoding, microseconds.
+static STAGE_ENCODE_US: stpt_obs::Histogram = stpt_obs::Histogram::new("serve.stage.encode_us");
 
 /// Shared state of one daemon: the release cache plus the shutdown
 /// flag acceptor loops watch.
@@ -71,57 +79,8 @@ impl Response {
 /// JSON-escape a string (the error path cannot assume serde round-trips).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_string(&mut out, s);
     out
-}
-
-/// One query batch over the wire. `release` may be omitted to target the
-/// daemon's default release; `queries` deserialize through
-/// [`RangeQuery`]'s validating impl, so structurally malformed ranges are
-/// a deserialization error (→ 400), never a constructed bad query.
-#[derive(Debug)]
-struct BatchRequest {
-    release: Option<String>,
-    queries: Vec<RangeQuery>,
-}
-
-impl Deserialize for BatchRequest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for batch request"))?;
-        let release = match serde::get_field(fields, "release") {
-            Ok(val) => Option::<String>::from_value(val)?,
-            Err(_) => None,
-        };
-        let queries = Vec::<RangeQuery>::from_value(serde::get_field(fields, "queries")?)?;
-        Ok(BatchRequest { release, queries })
-    }
-}
-
-/// One answer in a batch response: exactly one of `sum` / `error` set.
-#[derive(Debug, Serialize)]
-struct QueryAnswer {
-    sum: Option<f64>,
-    error: Option<String>,
-}
-
-#[derive(Debug, Serialize)]
-struct BatchResponse {
-    release: String,
-    answers: Vec<QueryAnswer>,
 }
 
 #[derive(Debug, Serialize)]
@@ -160,13 +119,13 @@ pub fn handle_request(state: &ServerState, req: &Request) -> Response {
         ("GET", "/query") => {
             let start = Instant::now();
             let resp = single_query_route(state, query_string.unwrap_or(""));
-            QUERY_LATENCY_US.observe(start.elapsed().as_secs_f64() * 1e6);
+            QUERY_LATENCY_US.observe(micros_since(start));
             resp
         }
         ("POST", "/query") => {
             let start = Instant::now();
             let resp = batch_query_route(state, &req.body);
-            QUERY_LATENCY_US.observe(start.elapsed().as_secs_f64() * 1e6);
+            QUERY_LATENCY_US.observe(micros_since(start));
             resp
         }
         ("POST", "/shutdown") => {
@@ -288,20 +247,21 @@ fn single_query_route(state: &ServerState, query_string: &str) -> Response {
 }
 
 /// `POST /query` with a JSON body: a batch of queries against one
-/// release. An out-of-bounds range comes back as a per-answer error and
-/// the rest of the batch is still answered; an empty or inverted range
-/// fails [`BatchRequest`] deserialization and rejects the whole batch
-/// with `400`.
+/// release, decoded and encoded by [`crate::codec`]. An out-of-bounds
+/// range comes back as a per-answer error and the rest of the batch is
+/// still answered; an empty or inverted range, or any body outside the
+/// codec's grammar, rejects the whole batch with `400`. Each stage is
+/// timed into its own `serve.stage.*_us` histogram.
 fn batch_query_route(state: &ServerState, body: &[u8]) -> Response {
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return Response::error("400 Bad Request", "body is not UTF-8"),
-    };
-    let batch: BatchRequest = match serde_json::from_str(text) {
+    let start = Instant::now();
+    let batch = decode_batch(body);
+    STAGE_PARSE_US.observe(micros_since(start));
+    let batch = match batch {
         Ok(b) => b,
         Err(e) => return Response::error("400 Bad Request", &format!("bad batch request: {e}")),
     };
-    let Some(release) = state.cache.get(batch.release.as_deref()) else {
+    let start = Instant::now();
+    let Some(release) = state.cache.get(batch.release) else {
         return Response::error(
             "404 Not Found",
             &format!("unknown release '{}'", batch.release.unwrap_or_default()),
@@ -309,27 +269,18 @@ fn batch_query_route(state: &ServerState, body: &[u8]) -> Response {
     };
     let answers = answer_batch(&release.prefix, &batch.queries);
     release.note_queries(batch.queries.len() as u64);
-    let answers: Vec<QueryAnswer> = answers
-        .into_iter()
-        .map(|a| match a {
-            Ok(sum) => QueryAnswer {
-                sum: Some(sum),
-                error: None,
-            },
-            Err(e) => QueryAnswer {
-                sum: None,
-                error: Some(e.to_string()),
-            },
-        })
-        .collect();
-    let response = BatchResponse {
-        release: release.id.clone(),
-        answers,
-    };
-    match serde_json::to_string(&response) {
+    STAGE_EVAL_US.observe(micros_since(start));
+    let start = Instant::now();
+    let body = encode_answers(&release.id, &answers);
+    STAGE_ENCODE_US.observe(micros_since(start));
+    match body {
         Ok(body) => Response::json("200 OK", body),
         Err(e) => Response::error("500 Internal Server Error", &format!("serialize: {e}")),
     }
+}
+
+fn micros_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e6
 }
 
 /// Feed raw bytes through the capped reader and the router, exactly as a

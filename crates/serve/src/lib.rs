@@ -23,9 +23,10 @@
 //! while serving.
 //!
 //! **Hostile-query hardening.** The wire path is panic-free by
-//! construction: queries deserialize through [`stpt_queries::RangeQuery`]'s
-//! validating `Deserialize` impl (rejects empty/inverted ranges), bounds
-//! are checked by the fallible
+//! construction: batch bodies decode through [`codec`]'s fixed grammar
+//! (integer coordinates only, bounded nesting) and every range through
+//! [`stpt_queries::RangeQuery::try_nonempty`] (rejects empty/inverted
+//! ranges), bounds are checked by the fallible
 //! [`stpt_queries::PrefixSum3D::try_range_sum`], and malformed requests
 //! are answered `400`/`413`, never unwound. In a `POST /query` batch an
 //! empty or inverted range rejects the whole batch with `400`, while an
@@ -35,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod engine;
 pub mod http;
 pub mod ledger;

@@ -195,3 +195,20 @@ fn batch_errors_are_per_answer_only_for_out_of_bounds_ranges() {
     let resp = post_batch(r#"{"queries":[[0,2,0,2,0,4]]}"#);
     assert_eq!(resp.status, "400 Bad Request", "{}", resp.body);
 }
+
+/// A ~20 KB body of nested arrays, far under the body cap, is a plain
+/// `400`: the batch grammar never recurses, so no body can exhaust the
+/// acceptor thread's stack, and the daemon keeps answering.
+#[test]
+fn deeply_nested_batch_is_a_400_and_the_daemon_stays_up() {
+    for body in [
+        format!(r#"{{"queries":{}"#, "[".repeat(10_000)),
+        format!(r#"{{"queries":[{}"#, "{\"x\":".repeat(5_000)),
+        format!(r#"{{"release":{}}}"#, "[".repeat(10_000)),
+    ] {
+        let resp = post_batch(&body);
+        assert_eq!(resp.status, "400 Bad Request", "{}", resp.body);
+    }
+    let health = handle_bytes(state(), b"GET /healthz HTTP/1.1\r\n\r\n").expect("healthz");
+    assert_eq!(health.status, "200 OK");
+}
