@@ -36,6 +36,9 @@ static BENCH_THREADS: stpt_obs::Gauge = stpt_obs::Gauge::new("bench.threads");
 /// `STPT_THREADS` settings.
 static BENCH_WALL_SECS: stpt_obs::Gauge = stpt_obs::Gauge::new("bench.wall_secs");
 static PROCESS_START: OnceLock<Instant> = OnceLock::new();
+/// The observability settings [`ExperimentEnv::from_env`] applied; their
+/// telemetry directory is where [`emit_result`] writes.
+static OBS: OnceLock<stpt_obs::ObsConfig> = OnceLock::new();
 
 /// Scale parameters shared by all experiments.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -59,18 +62,19 @@ impl ExperimentEnv {
     /// starts the process wall-clock used by the `bench.wall_secs` gauge.
     pub fn from_env() -> Self {
         PROCESS_START.get_or_init(Instant::now);
-        // Live telemetry (STPT_METRICS_ADDR / STPT_METRICS_PERIOD): starts
-        // the collector ring and the Prometheus scrape listener when asked.
-        // Strictly read-only over results — envelopes are byte-identical
-        // with the exporter on or off (checked in CI).
-        stpt_obs::init_live_from_env();
-        let get = |k: &str, d: usize| {
-            // xtask-allow(XT10): the one sanctioned scale-knob reader — every value read here is recorded in the result envelope, keeping runs attributable
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
+        // xtask-allow(XT10): the one sanctioned env reader — every scale knob read here is recorded in the result envelope, and the stpt-obs settings only switch exporters, which never change results
+        let var = |k: &str| std::env::var(k).ok();
+        // Observability (STPT_TRACE*, STPT_RESOURCES, STPT_METRICS_*,
+        // STPT_TELEMETRY_DIR), parsed and applied once per process; live
+        // settings start the collector ring and the Prometheus scrape
+        // listener. Strictly read-only over results — envelopes are
+        // byte-identical with every exporter on or off (checked in CI).
+        OBS.get_or_init(|| {
+            let config = stpt_obs::ObsConfig::from_lookup(var);
+            config.apply();
+            config
+        });
+        let get = |k: &str, d: usize| var(k).and_then(|v| v.parse().ok()).unwrap_or(d);
         ExperimentEnv {
             reps: get("STPT_REPS", 3) as u64,
             queries: get("STPT_QUERIES", 300),
@@ -333,23 +337,12 @@ pub fn emit_result<T: Serialize>(name: &str, env: &ExperimentEnv, value: &T) {
     if let Err(e) = std::fs::write(&path, doc) {
         stpt_obs::diag!("warning: could not write {}: {e}", path.display());
     }
-    if let Some(tpath) = stpt_obs::export::write_telemetry(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
-    }
-    if let Some(tpath) = stpt_obs::export::write_chrome_trace(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
-    }
-    if let Some(tpath) = stpt_obs::export::write_flamegraph(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
-    }
-    if stpt_obs::live_enabled() {
-        // Final collector tick so the exported ring includes activity since
-        // the last periodic sample (short runs may have seen none at all).
-        stpt_obs::timeseries::collect_now();
-    }
-    if let Some(tpath) = stpt_obs::export::write_timeseries(name) {
-        stpt_obs::diag!("telemetry: wrote {}", tpath.display());
-    }
+    let telemetry_dir = OBS
+        .get()
+        .map_or(std::path::Path::new(stpt_obs::export::DEFAULT_DIR), |obs| {
+            obs.telemetry_dir.as_path()
+        });
+    stpt_obs::export::write_files(telemetry_dir, name);
 }
 
 /// Format a markdown-style table row.

@@ -3,22 +3,22 @@
 //! The aggregate span table ([`crate::trace`]) answers "where did the time
 //! go in total"; this module answers "when" — every span entry/exit is
 //! recorded as a [`TraceEvent`] with a monotone per-process timestamp and a
-//! per-thread track id, ready for [`crate::export::write_chrome_trace`] to
+//! per-thread track id, ready for [`crate::export::chrome_trace_json`] to
 //! turn into a Chrome `trace_event` document.
 //!
-//! Recording is gated by `STPT_TRACE_EVENTS` (see [`crate::events_enabled`])
+//! Recording is gated by its own switch (see [`crate::events_enabled`])
 //! *separately* from the aggregate gate, because it is strictly more
 //! expensive: one mutex acquisition and one `String` clone per event. The
-//! aggregate-only path keeps its near-zero overhead when only `STPT_TRACE`
-//! is set.
+//! aggregate-only path keeps its near-zero overhead when only tracing is
+//! on.
 //!
-//! The buffer is a bounded ring: once `STPT_TRACE_EVENT_CAP` events (default
-//! 2^16) have been recorded, further events are counted as dropped rather
+//! The buffer is a bounded ring: once [`capacity`] events (default 2^16,
+//! `ObsConfig::event_cap`) have been recorded, further events are counted as dropped rather
 //! than recorded — dropping *new* events (not old ones) keeps every
 //! recorded begin/end pair intact, and the exporter reports the drop count.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -53,7 +53,7 @@ pub struct TraceEvent {
 static BUFFER: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static CAPACITY: OnceLock<usize> = OnceLock::new();
+static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static NAMES: OnceLock<Mutex<Vec<(u64, String)>>> = OnceLock::new();
 
@@ -68,16 +68,16 @@ fn buffer() -> MutexGuard<'static, Vec<TraceEvent>> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Ring capacity in events (`STPT_TRACE_EVENT_CAP`, default 2^16). Public
-/// so diagnostics about dropped events can name the limit to raise.
+/// Ring capacity in events (default 2^16). Public so diagnostics about
+/// dropped events can name the limit to raise.
 pub fn capacity() -> usize {
-    *CAPACITY.get_or_init(|| {
-        std::env::var("STPT_TRACE_EVENT_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c: &usize| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY)
-    })
+    CAPACITY.load(Ordering::Relaxed)
+}
+
+/// Set the ring capacity (at least one event). Events already recorded
+/// are kept.
+pub fn set_capacity(events: usize) {
+    CAPACITY.store(events.max(1), Ordering::Relaxed);
 }
 
 fn names() -> MutexGuard<'static, Vec<(u64, String)>> {

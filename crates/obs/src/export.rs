@@ -15,8 +15,9 @@
 //! }
 //! ```
 //!
-//! Files land under `results/telemetry/<run>.json` (override the directory
-//! with `STPT_TELEMETRY_DIR`). Non-finite floats serialise as `null` —
+//! [`write_files`] puts it, and the other documents the enabled gates
+//! produced, under the configured directory (`results/telemetry/` by
+//! default, `ObsConfig::telemetry_dir`). Non-finite floats serialise as `null` —
 //! JSON has no NaN/Inf and a telemetry reader must see *that it happened*
 //! rather than a parse error.
 
@@ -323,24 +324,6 @@ pub fn write_telemetry_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Write the telemetry document for `run` under `STPT_TELEMETRY_DIR` (or
-/// [`DEFAULT_DIR`]). Returns `None` when the gate is off or the write
-/// fails — telemetry must never take down the run it observes; failures
-/// are reported on stderr instead.
-pub fn write_telemetry(run: &str) -> Option<PathBuf> {
-    if !crate::enabled() {
-        return None;
-    }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_telemetry_to(Path::new(&dir), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.json: {err}");
-            None
-        }
-    }
-}
-
 /// Render the recorded span events ([`crate::events`]) as a Chrome
 /// `trace_event` JSON object — loadable in Perfetto (<https://ui.perfetto.dev>)
 /// or `chrome://tracing`.
@@ -475,24 +458,6 @@ pub fn write_chrome_trace_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Write the Chrome trace for `run` under `STPT_TELEMETRY_DIR` (or
-/// [`DEFAULT_DIR`]). Returns `None` when the events gate is off or the
-/// write fails — like [`write_telemetry`], export must never take down the
-/// run it observes.
-pub fn write_chrome_trace(run: &str) -> Option<PathBuf> {
-    if !crate::events_enabled() {
-        return None;
-    }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_chrome_trace_to(Path::new(&dir), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.trace.json: {err}");
-            None
-        }
-    }
-}
-
 /// Collapse the recorded span events into folded-stack lines — the input
 /// format of standard flamegraph tooling (`flamegraph.pl`, inferno,
 /// speedscope): one `path;to;frame <weight>` line per distinct stack.
@@ -539,23 +504,6 @@ pub fn write_flamegraph_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
     let path = dir.join(format!("{}.folded", file_stem(run)));
     std::fs::write(&path, folded_stacks())?;
     Ok(path)
-}
-
-/// Write the folded flamegraph for `run` under `STPT_TELEMETRY_DIR` (or
-/// [`DEFAULT_DIR`]). Returns `None` when the events gate is off or the
-/// write fails — export must never take down the run it observes.
-pub fn write_flamegraph(run: &str) -> Option<PathBuf> {
-    if !crate::events_enabled() {
-        return None;
-    }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_flamegraph_to(Path::new(&dir), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.folded: {err}");
-            None
-        }
-    }
 }
 
 /// Render the retained time-series ring ([`crate::timeseries`]) as JSON:
@@ -626,21 +574,31 @@ pub fn write_timeseries_to(dir: &Path, run: &str) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Write the time-series document for `run` under `STPT_TELEMETRY_DIR`
-/// (or [`DEFAULT_DIR`]). Returns `None` when live monitoring is off (no
-/// collector ran, so the ring is empty) or the write fails — export must
+/// Write every document the enabled gates produced for `run` into `dir`:
+/// the telemetry document when tracing is on, the Chrome trace and the
+/// folded flamegraph when span events are on, and — after one final
+/// collector tick, so the ring includes activity since the last periodic
+/// sample — the time-series document when live monitoring is on. Each
+/// written path, and each failure, is reported on stderr: telemetry must
 /// never take down the run it observes.
-pub fn write_timeseries(run: &str) -> Option<PathBuf> {
-    if !crate::live_enabled() {
-        return None;
+pub fn write_files(dir: &Path, run: &str) {
+    let report = |what: &str, written: io::Result<PathBuf>| match written {
+        Ok(path) => crate::diag!("telemetry: wrote {}", path.display()),
+        Err(err) => crate::diag!(
+            "telemetry: failed to write the {what} of {run} under {}: {err}",
+            dir.display()
+        ),
+    };
+    if crate::enabled() {
+        report("telemetry document", write_telemetry_to(dir, run));
     }
-    let dir = std::env::var("STPT_TELEMETRY_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_owned());
-    match write_timeseries_to(Path::new(&dir), run) {
-        Ok(path) => Some(path),
-        Err(err) => {
-            crate::diag!("telemetry: failed to write {dir}/{run}.timeseries.json: {err}");
-            None
-        }
+    if crate::events_enabled() {
+        report("Chrome trace", write_chrome_trace_to(dir, run));
+        report("flamegraph", write_flamegraph_to(dir, run));
+    }
+    if crate::live_enabled() {
+        crate::timeseries::collect_now();
+        report("time series", write_timeseries_to(dir, run));
     }
 }
 

@@ -1,4 +1,5 @@
-//! Minimal std-only HTTP/1.1 request reading with a hard byte cap.
+//! Minimal std-only HTTP/1.1 serving: one capped request reader and one
+//! accept loop.
 //!
 //! The original scrape handler drained headers with an uncapped
 //! `read_line` loop: a slow-drip client that keeps sending header bytes
@@ -8,11 +9,17 @@
 //! newline-free line cannot allocate past the cap, and bounds the body via
 //! `Content-Length` against a separate cap.
 //!
-//! Shared by the Prometheus scrape listener ([`crate::prometheus`]) and
-//! the `stpt-serve` query daemon's HTTP front-end, which faces genuinely
-//! untrusted clients.
+//! [`serve`] is the workspace's one TCP accept loop, generic over the
+//! [`Service`] that answers each request. It runs the Prometheus scrape
+//! listener ([`crate::prometheus::Scrape`], body cap 0) and the
+//! `stpt-serve` query daemon (body cap [`DEFAULT_BODY_CAP`]), which faces
+//! genuinely untrusted clients.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Default cap on the request head (request line + headers), in bytes.
 pub const DEFAULT_HEAD_CAP: usize = 8 * 1024;
@@ -20,6 +27,14 @@ pub const DEFAULT_HEAD_CAP: usize = 8 * 1024;
 /// Default cap on the request body, in bytes. Generous enough for large
 /// JSON query batches, small enough to bound per-connection memory.
 pub const DEFAULT_BODY_CAP: usize = 1024 * 1024;
+
+/// Per-connection socket timeout: a client that stalls longer than this
+/// mid-request is dropped rather than pinning an acceptor.
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Bytes of unread request drained before answering an error, so the
+/// kernel does not RST the response away on close.
+const ERROR_DRAIN_CAP: usize = 256 * 1024;
 
 /// A parsed HTTP request: just the pieces the workspace's endpoints need.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +69,24 @@ impl std::fmt::Display for RequestError {
 }
 
 impl std::error::Error for RequestError {}
+
+/// A rendered HTTP response.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    /// Status line tail, e.g. `200 OK`.
+    pub status: &'static str,
+    /// `Content-Type` header value.
+    pub content_type: &'static str,
+    /// Response body.
+    pub body: String,
+}
+
+impl Response {
+    /// Whether the status is a success.
+    pub fn is_ok(&self) -> bool {
+        self.status.starts_with('2')
+    }
+}
 
 /// Read one HTTP/1.1 request from `reader`, enforcing `head_cap` over the
 /// request line + headers and `body_cap` over the body.
@@ -154,7 +187,7 @@ pub fn write_response<W: Write>(w: &mut W, status: &str, content_type: &str, bod
 /// flight; a bounded drain lets a moderately over-cap client actually see
 /// its `413`, while a flooding client costs at most `max` discarded bytes
 /// and constant memory before the reset it deserves.
-pub fn drain<R: Read>(reader: &mut R, max: usize) {
+fn drain<R: Read>(reader: &mut R, max: usize) {
     let mut scratch = [0u8; 4096];
     let mut remaining = max;
     while remaining > 0 {
@@ -168,7 +201,7 @@ pub fn drain<R: Read>(reader: &mut R, max: usize) {
 
 /// Map a [`RequestError`] to its response, if one should be written at
 /// all (`Io` gets silence — the peer is gone or lying).
-pub fn error_response<W: Write>(w: &mut W, e: RequestError) {
+fn error_response<W: Write>(w: &mut W, e: RequestError) {
     match e {
         RequestError::TooLarge => write_response(
             w,
@@ -183,6 +216,141 @@ pub fn error_response<W: Write>(w: &mut W, e: RequestError) {
             "malformed request\n",
         ),
         RequestError::Io => {}
+    }
+}
+
+/// What one listener serves. Implementors answer requests; the two
+/// provided hooks let a daemon stop its acceptors and count connections.
+pub trait Service: Send + Sync + 'static {
+    /// Answer one parsed request. Must not panic on any input.
+    fn respond(&self, req: &Request) -> Response;
+
+    /// Whether the acceptors should exit, checked before and after every
+    /// `accept`. The default never stops: the listener lives as long as
+    /// the process.
+    fn stopping(&self) -> bool {
+        false
+    }
+
+    /// Called with `true` when a connection is accepted and with `false`
+    /// once it has been answered or dropped.
+    fn connection(&self, _open: bool) {}
+}
+
+/// A running listener: the bound address plus its acceptor threads.
+/// Dropping it detaches the threads.
+#[derive(Debug)]
+pub struct Listener {
+    /// Address the listener actually bound (port resolved if `:0`).
+    pub addr: SocketAddr,
+    acceptors: Vec<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Block until every acceptor thread has exited, which happens once
+    /// the service reports [`Service::stopping`] and one connection (a
+    /// client's or [`wake`]'s) reaches an acceptor.
+    pub fn join(self) -> Result<(), String> {
+        for handle in self.acceptors {
+            handle
+                .join()
+                .map_err(|_| "acceptor thread panicked".to_string())?;
+        }
+        Ok(())
+    }
+}
+
+/// Bind `addr` and start `acceptors` threads (at least one) serving
+/// `service`, each request body capped at `body_cap` bytes. Returns once
+/// the listener is bound and every thread is running. Errors are
+/// returned, never panicked: a busy port must not take down the caller.
+///
+/// Each acceptor owns a clone of the listener and handles accepted
+/// connections inline (connection-close, one request each), so the
+/// acceptor count is the listener's whole parallelism. Shutdown is
+/// cooperative: once [`Service::stopping`] goes high, each acceptor that
+/// observes it makes one wake connection on its way out, so the next
+/// blocked `accept` returns and the cascade drains every thread.
+pub fn serve<S: Service>(
+    service: Arc<S>,
+    addr: &str,
+    acceptors: usize,
+    body_cap: usize,
+) -> Result<Listener, String> {
+    let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    let bound = listener
+        .local_addr()
+        .map_err(|e| format!("local_addr: {e}"))?;
+    let n = acceptors.max(1);
+    let mut handles = Vec::with_capacity(n);
+    for i in 0..n {
+        let listener = listener
+            .try_clone()
+            .map_err(|e| format!("clone listener: {e}"))?;
+        let service = Arc::clone(&service);
+        let handle = std::thread::Builder::new()
+            .name(format!("stpt-http-{i}"))
+            .spawn(move || acceptor_loop(&listener, &*service, bound, body_cap))
+            .map_err(|e| format!("spawn acceptor: {e}"))?;
+        handles.push(handle);
+    }
+    Ok(Listener {
+        addr: bound,
+        acceptors: handles,
+    })
+}
+
+/// Connect-and-drop against a listener to unblock one `accept`.
+pub fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
+}
+
+/// One acceptor: accept → handle → check for shutdown, until the service
+/// stops. On exit, sends one wake connection so a sibling blocked in
+/// `accept` also observes the stop.
+fn acceptor_loop<S: Service>(
+    listener: &TcpListener,
+    service: &S,
+    bound: SocketAddr,
+    body_cap: usize,
+) {
+    while !service.stopping() {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(_) => continue,
+        };
+        if service.stopping() {
+            // Raised while we were blocked (possibly by the wake
+            // connection we just accepted): exit without handling.
+            break;
+        }
+        service.connection(true);
+        handle_conn(service, stream, body_cap);
+        service.connection(false);
+    }
+    wake(bound);
+}
+
+/// Handle one connection: capped read, respond. Every failure mode is a
+/// status code or a dropped connection — never a panic.
+fn handle_conn<S: Service>(service: &S, mut stream: TcpStream, body_cap: usize) {
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let Ok(reader) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(reader);
+    match read_request(&mut reader, DEFAULT_HEAD_CAP, body_cap) {
+        Ok(req) => {
+            let resp = service.respond(&req);
+            write_response(&mut stream, resp.status, resp.content_type, &resp.body);
+        }
+        Err(e) => {
+            // Discard what the client is still sending (bounded) so the
+            // error response is not destroyed by a kernel RST on close.
+            drain(&mut reader, ERROR_DRAIN_CAP);
+            error_response(&mut stream, e);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! *publishes* the final ledger plus its [`LedgerCheck`] so telemetry
 //! exports can carry the verified composition argument.
 //!
-//! Publication is gated by the global `STPT_TRACE` switch like everything
+//! Publication is gated by the global trace switch like everything
 //! else in this crate — but the *recording and checking* in `stpt-dp` is
 //! always on: the ledger is a privacy invariant, not a debugging aid.
 

@@ -14,11 +14,16 @@
 //!   the replay check here, so telemetry exports carry the runtime-verified
 //!   composition argument.
 //!
-//! Everything is gated by the `STPT_TRACE` environment variable (any
-//! non-empty value other than `0` enables it). When the gate is off, every
-//! recording call is a single relaxed atomic load — near-zero overhead.
-//! [`export::write_telemetry`] dumps the collected state as JSON under
-//! `results/telemetry/`.
+//! Everything is gated by plain switches that default off ([`set_enabled`]
+//! for tracing, [`set_events_enabled`] for span events,
+//! [`set_live_enabled`] for live monitoring). When the gates are off,
+//! every recording call is a single relaxed atomic load — near-zero
+//! overhead. The crate reads no environment: a binary's entry point builds
+//! one [`ObsConfig`] and [`ObsConfig::apply`]s it (the bench harness parses
+//! it from the `STPT_TRACE*`, `STPT_RESOURCES`, `STPT_METRICS_*` and
+//! `STPT_TELEMETRY_DIR` variables; `stpt-serve` is configured by its argv
+//! alone). [`export::write_files`] dumps the collected state as JSON under
+//! the configured directory (`results/telemetry/` by default).
 //!
 //! The crate is dependency-free (std only) so every workspace crate —
 //! including the `stpt-dp` privacy kernel — can depend on it without
@@ -34,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 
+mod config;
 pub mod events;
 pub mod export;
 pub mod httpd;
@@ -45,144 +51,72 @@ pub mod resources;
 pub mod timeseries;
 pub mod trace;
 
+pub use config::ObsConfig;
 pub use events::{EventPhase, TraceEvent};
 pub use ledger::{Composition, LedgerCheck, LedgerEntry, PostProcessProof};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use noise::NoiseStatus;
 pub use trace::SpanGuard;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Tri-state gate: 0 = uninitialised, 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
+/// Tracing gate (`ObsConfig::trace`).
+static TRACE: AtomicBool = AtomicBool::new(false);
 
-/// Tri-state gate for timestamped span events (`STPT_TRACE_EVENTS`).
-static EVENTS_STATE: AtomicU8 = AtomicU8::new(0);
+/// Span-event gate (`ObsConfig::events`).
+static EVENTS: AtomicBool = AtomicBool::new(false);
 
-/// Live-monitoring gate: 0/1 = off, 2 = on. Unlike the other gates it is
-/// never initialised from the environment lazily — only
-/// [`init_live_from_env`] (called once by the bench harness) or
-/// [`set_live_enabled`] turn it on, so library code paths cannot
-/// accidentally spawn background threads.
-static LIVE_STATE: AtomicU8 = AtomicU8::new(0);
+/// Live-monitoring gate. Only [`ObsConfig::apply`] (with a metrics period
+/// or address) or [`set_live_enabled`] turn it on, so library code paths
+/// cannot accidentally spawn background threads.
+static LIVE: AtomicBool = AtomicBool::new(false);
 
-/// Whether tracing/metrics collection is enabled. First call reads the
-/// `STPT_TRACE` environment variable; later calls are one relaxed atomic
-/// load.
+/// Whether tracing/metrics collection is enabled. One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
-    }
+    TRACE.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let on = std::env::var("STPT_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the gate on or off, overriding `STPT_TRACE`. Used by tests and by
-/// harnesses that decide at runtime (the variable is only read once).
+/// Switch tracing on or off. Used by [`ObsConfig::apply`], by tests and
+/// by harnesses that decide at runtime.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    TRACE.store(on, Ordering::Relaxed);
 }
 
-/// Whether timestamped span-event recording is enabled. First call reads
-/// the `STPT_TRACE_EVENTS` environment variable; later calls are one
-/// relaxed atomic load. Independent of [`enabled`]: events can be recorded
+/// Whether timestamped span-event recording is enabled. One relaxed
+/// atomic load. Independent of [`enabled`]: events can be recorded
 /// without the aggregate tables and vice versa — a span fires when either
 /// gate is on.
 #[inline]
 pub fn events_enabled() -> bool {
-    match EVENTS_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_events_from_env(),
-    }
+    EVENTS.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_events_from_env() -> bool {
-    let on = std::env::var("STPT_TRACE_EVENTS")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    EVENTS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the events gate on or off, overriding `STPT_TRACE_EVENTS`.
+/// Switch span-event recording on or off.
 pub fn set_events_enabled(on: bool) {
-    EVENTS_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    EVENTS.store(on, Ordering::Relaxed);
 }
 
 /// Whether live monitoring (time-series collection / Prometheus scrape) is
-/// enabled. One relaxed atomic load; off unless [`init_live_from_env`] or
-/// [`set_live_enabled`] switched it on.
+/// enabled. One relaxed atomic load.
 #[inline]
 pub fn live_enabled() -> bool {
-    LIVE_STATE.load(Ordering::Relaxed) == 2
+    LIVE.load(Ordering::Relaxed)
 }
 
-/// Force the live-monitoring gate on or off.
+/// Switch the live-monitoring gate on or off.
 pub fn set_live_enabled(on: bool) {
-    LIVE_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    LIVE.store(on, Ordering::Relaxed);
 }
 
 /// Whether metric/span recording should happen at all: post-mortem tracing
-/// (`STPT_TRACE`) *or* live monitoring. Recording sites check this; export
-/// surfaces stay gated on the switch they serve ([`enabled`] for the
-/// envelope/telemetry files, [`live_enabled`] for the scrape endpoint), so
-/// turning the exporter on never changes what a result envelope contains.
+/// *or* live monitoring. Recording sites check this; export surfaces stay
+/// gated on the switch they serve ([`enabled`] for the envelope/telemetry
+/// files, [`live_enabled`] for the scrape endpoint), so turning the
+/// exporter on never changes what a result envelope contains.
 #[inline]
 pub fn collecting() -> bool {
     enabled() || live_enabled()
-}
-
-/// Wire up live monitoring from the environment, once per process:
-///
-/// * `STPT_METRICS_PERIOD` — sampling period of the background time-series
-///   collector (`250ms`, `2s`, or a bare integer in milliseconds);
-/// * `STPT_METRICS_ADDR` — bind address (`127.0.0.1:9184`) for the
-///   Prometheus text-exposition scrape listener.
-///
-/// Either variable alone switches [`live_enabled`] on (the scrape listener
-/// implies collection at a default period; a period alone records the ring
-/// for post-mortem inspection). Failures — unparseable period, busy port —
-/// are reported on stderr and never take down the run. Subsequent calls
-/// are no-ops.
-pub fn init_live_from_env() {
-    static INIT: std::sync::Once = std::sync::Once::new();
-    INIT.call_once(|| {
-        // crates/obs is the sanctioned XT10 choke point for the
-        // STPT_METRICS_* live-telemetry toggles.
-        let period = std::env::var("STPT_METRICS_PERIOD").ok();
-        let addr = std::env::var("STPT_METRICS_ADDR").ok();
-        if period.is_none() && addr.is_none() {
-            return;
-        }
-        let period = match period.as_deref().map(timeseries::parse_period) {
-            Some(Ok(p)) => p,
-            Some(Err(err)) => {
-                diag!("live telemetry: bad STPT_METRICS_PERIOD ({err}); using 1s");
-                timeseries::DEFAULT_PERIOD
-            }
-            None => timeseries::DEFAULT_PERIOD,
-        };
-        set_live_enabled(true);
-        timeseries::start_collector(period);
-        if let Some(addr) = addr {
-            match prometheus::serve(&addr) {
-                Ok(bound) => diag!("live telemetry: serving /metrics on http://{bound}/metrics"),
-                Err(err) => diag!("live telemetry: could not bind {addr}: {err}"),
-            }
-        }
-    });
 }
 
 /// Clear all collected state (spans, metric values, ledger, span events).

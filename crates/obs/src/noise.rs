@@ -1,6 +1,6 @@
 //! Debug-only statistical accumulator for DP noise draws.
 //!
-//! When the trace gate (`STPT_TRACE`) is on, `crates/dp` reports every
+//! When the trace gate ([`crate::enabled`]) is on, `crates/dp` reports every
 //! Laplace draw here via [`record_laplace`], keyed by the calibrated scale
 //! `b`. The accumulator keeps per-scale count / sum / sum-of-squares plus a
 //! fixed prefix reservoir of raw draws, so the audit step can compare the

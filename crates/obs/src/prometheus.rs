@@ -1,24 +1,20 @@
 //! Dependency-free Prometheus text exposition (format 0.0.4) over the
-//! metrics registry, plus a minimal std-only HTTP scrape listener.
+//! metrics registry, plus the scrape endpoint's [`httpd::Service`].
 //!
 //! [`render`] encodes every registered counter, gauge and log2 histogram —
 //! and the observability meta-signals (span-event drops, published ledger
-//! runs) — as `text/plain; version=0.0.4`. [`serve`] binds a
-//! `TcpListener` (`STPT_METRICS_ADDR`, e.g. `127.0.0.1:9184`) and answers
-//! `GET /metrics` with a fresh render from a dedicated accept-loop thread
-//! (serial — a scrape endpoint for one Prometheus server needs no
-//! concurrency, and obs is the sanctioned XT07-exempt home for
-//! infrastructure threads).
+//! runs) — as `text/plain; version=0.0.4`. [`Scrape`] answers
+//! `GET /metrics` with a fresh render; [`crate::ObsConfig::apply`] runs it
+//! on one acceptor of the shared [`httpd::serve`] loop when a metrics
+//! address is configured (a scrape endpoint for one Prometheus server
+//! needs no concurrency).
 //!
 //! The exporter is strictly read-only over the registry: enabling it can
 //! never change what a result envelope contains (verified byte-for-byte in
 //! CI).
 
-use crate::httpd;
+use crate::httpd::{self, Request, Response};
 use crate::metrics;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
 
 /// Prefix stamped onto every exported metric family.
 const PREFIX: &str = "stpt_";
@@ -151,67 +147,34 @@ pub fn render() -> String {
     out
 }
 
-/// Bind `addr` and serve `GET /metrics` from a background thread. Returns
-/// the bound address (useful with port `0`). Errors are returned, not
-/// panicked — a busy port must not take down a DP release run.
-pub fn serve(addr: &str) -> Result<SocketAddr, String> {
-    let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    let bound = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
-    let spawned = std::thread::Builder::new()
-        .name("stpt-metrics-http".into())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                match stream {
-                    Ok(s) => handle(s),
-                    Err(_) => continue,
-                }
-            }
-        });
-    match spawned {
-        Ok(_) => Ok(bound),
-        Err(e) => Err(format!("spawn scrape thread: {e}")),
+/// A fresh exposition: take a resource sample ([`crate::resources::sample`],
+/// so RSS and CPU time are current), then render the registry.
+pub fn scrape() -> Response {
+    crate::resources::sample();
+    Response {
+        status: "200 OK",
+        content_type: "text/plain; version=0.0.4; charset=utf-8",
+        body: render(),
     }
 }
 
-/// Answer one HTTP request on `stream` (serial, connection-close).
-///
-/// The request is read through [`httpd::read_request`], whose hard byte
-/// cap bounds what a slow-drip client can make this loop buffer; an
-/// over-cap or malformed request gets `413`/`400` instead of unbounded
-/// memory growth.
-fn handle(stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut reader = BufReader::new(stream);
-    // A scrape request carries no body worth reading; cap it at zero.
-    let request = httpd::read_request(&mut reader, httpd::DEFAULT_HEAD_CAP, 0);
-    let mut stream = reader.into_inner();
-    let request = match request {
-        Ok(r) => r,
-        Err(e) => {
-            // Bounded drain so the error response is not lost to a
-            // kernel RST on close-with-unread-data.
-            httpd::drain(&mut stream, 256 * 1024);
-            httpd::error_response(&mut stream, e);
-            return;
+/// The scrape endpoint: `GET /metrics` (or `/`) answers with [`scrape`],
+/// anything else is a `404`. Requests carry no body, so it is served with
+/// a body cap of 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Scrape;
+
+impl httpd::Service for Scrape {
+    fn respond(&self, req: &Request) -> Response {
+        if req.method == "GET" && (req.path == "/metrics" || req.path == "/") {
+            scrape()
+        } else {
+            Response {
+                status: "404 Not Found",
+                content_type: "text/plain; charset=utf-8",
+                body: "scrape endpoint: GET /metrics\n".to_string(),
+            }
         }
-    };
-    if request.method == "GET" && (request.path == "/metrics" || request.path == "/") {
-        httpd::write_response(
-            &mut stream,
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            &render(),
-        );
-    } else {
-        httpd::write_response(
-            &mut stream,
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "scrape endpoint: GET /metrics\n",
-        );
     }
 }
 
@@ -219,6 +182,8 @@ fn handle(stream: TcpStream) {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::Arc;
 
     static PROM_COUNTER: crate::Counter = crate::Counter::new("test.prom.counter");
     static PROM_GAUGE: crate::Gauge = crate::Gauge::new("test.prom.gauge");
@@ -290,7 +255,9 @@ mod tests {
         crate::set_enabled(true);
         PROM_COUNTER.add(1);
         crate::set_enabled(false);
-        let bound = serve("127.0.0.1:0").expect("bind an ephemeral port");
+        let bound = httpd::serve(Arc::new(Scrape), "127.0.0.1:0", 1, 0)
+            .expect("bind an ephemeral port")
+            .addr;
 
         let get = |path: &str| -> String {
             let mut s = TcpStream::connect(bound).expect("connect to scrape endpoint");

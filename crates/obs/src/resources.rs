@@ -10,7 +10,8 @@
 //! # Degradation policy
 //!
 //! Every raw read returns `Option`: off-Linux, inside a stripped-down
-//! sandbox without `/proc`, or with `STPT_RESOURCES=0` set, [`available`]
+//! sandbox without `/proc`, or with the gate switched off
+//! (`ObsConfig::resources`, `STPT_RESOURCES=0` in the bench harness), [`available`]
 //! is `false`, [`sample`] is a no-op, phase spans skip their CPU/RSS
 //! capture, exports omit the resource fields and `cargo xtask regress`
 //! skips resource checks with a named reason. Nothing in the result
@@ -19,9 +20,10 @@
 //!
 //! # Cadence and units
 //!
-//! [`sample`] is called by the `STPT_METRICS_PERIOD` collector tick (so the
-//! time-series ring gets an RSS gauge series and CPU-time counter series)
-//! and is cheap enough for phase boundaries too: three small files under
+//! [`sample`] is called by the live collector tick (so the time-series
+//! ring gets an RSS gauge series and CPU-time counter series), by
+//! `stpt-serve`'s `/metrics` route before each render, and is cheap enough
+//! for phase boundaries too: three small files under
 //! `/proc/self` plus one `task/` scan. CPU time is converted from clock
 //! ticks via `AT_CLKTCK` from `/proc/self/auxv` (fallback 100 Hz), RSS
 //! from pages via `AT_PAGESZ` (fallback 4096). Worker threads are scoped —
@@ -31,7 +33,7 @@
 //! (handled by treating a backwards jump as a fresh incarnation).
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Worker indices tracked as individual counter series
@@ -61,37 +63,20 @@ static WORKER_CPU_MS: [crate::Counter; MAX_TRACKED_WORKERS] = [
 /// Overflow series for workers beyond [`MAX_TRACKED_WORKERS`].
 static WORKER_CPU_OVERFLOW_MS: crate::Counter = crate::Counter::new("worker.other.cpu_ms");
 
-/// Tri-state gate: 0 = uninitialised, 1 = off, 2 = on.
-static GATE: AtomicU8 = AtomicU8::new(0);
+/// Resource-sampling gate, on by default.
+static GATE: AtomicBool = AtomicBool::new(true);
 
-/// Whether resource sampling is switched on. First call reads the
-/// `STPT_RESOURCES` environment variable (`0` or empty disables; default
-/// on); later calls are one relaxed atomic load. This is a *gate*, not a
-/// capability: sampling additionally requires a readable `/proc`
-/// (see [`available`]).
+/// Whether resource sampling is switched on (default on; one relaxed
+/// atomic load). This is a *gate*, not a capability: sampling
+/// additionally requires a readable `/proc` (see [`available`]).
 #[inline]
 pub fn resources_enabled() -> bool {
-    match GATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_gate_from_env(),
-    }
+    GATE.load(Ordering::Relaxed)
 }
 
-#[cold]
-fn init_gate_from_env() -> bool {
-    // crates/obs is the sanctioned XT10 choke point for the STPT_RESOURCES
-    // resource-sampling toggle (alongside STPT_TRACE*/STPT_METRICS_*).
-    let on = std::env::var("STPT_RESOURCES")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(true);
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
-}
-
-/// Force the resource gate on or off, overriding `STPT_RESOURCES`.
+/// Switch resource sampling on or off.
 pub fn set_resources_enabled(on: bool) {
-    GATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    GATE.store(on, Ordering::Relaxed);
 }
 
 /// Test-only injection point for the degradation path: override the
@@ -297,13 +282,12 @@ pub fn sample() {
         let cum = ticks.max(st.prev_cpu_ticks);
         st.prev_cpu_ticks = cum;
         // Emit against a cumulative-ms ledger so repeated small deltas
-        // below one tick-to-ms quantum are not lost to truncation.
-        let target_ms = ticks_to_ms(cum);
-        let delta = target_ms.saturating_sub(st.cpu_ms_emitted);
-        if delta > 0 {
-            PROCESS_CPU_MS.add(delta);
-            st.cpu_ms_emitted = target_ms;
-        }
+        // below one tick-to-ms quantum are not lost to truncation. A zero
+        // delta is added too, so the counter is exported from the first
+        // sample on, alongside the RSS gauges.
+        let delta = ticks_to_ms(cum).saturating_sub(st.cpu_ms_emitted);
+        PROCESS_CPU_MS.add(delta);
+        st.cpu_ms_emitted += delta;
     }
     if let Some(workers) = worker_cpu_ticks() {
         let mut st = state();
@@ -334,7 +318,7 @@ pub fn sample() {
 
 /// Clear sampler bookkeeping (previous cumulatives, the RSS peak). Metric
 /// values are cleared separately by [`crate::metrics::reset`]; the
-/// `STPT_RESOURCES` gate and the test root override are left untouched.
+/// resource gate and the test root override are left untouched.
 pub fn reset() {
     let mut st = state();
     *st = SamplerState::default();
@@ -388,8 +372,7 @@ mod tests {
         assert!(t2 >= t1, "cumulative CPU time is monotone");
         // task/ scan must not error even with zero matching workers.
         assert!(worker_cpu_ticks().is_some());
-        set_resources_enabled(false);
-        GATE.store(0, Ordering::Relaxed); // back to env-lazy for other tests
+        set_resources_enabled(true);
     }
 
     #[test]
@@ -403,7 +386,6 @@ mod tests {
         assert_eq!(worker_cpu_ticks(), None);
         sample(); // must be a silent no-op
         set_proc_root_override(None);
-        GATE.store(0, Ordering::Relaxed);
     }
 
     #[test]
@@ -413,6 +395,5 @@ mod tests {
         set_resources_enabled(false);
         assert!(!available());
         set_resources_enabled(true);
-        GATE.store(0, Ordering::Relaxed);
     }
 }

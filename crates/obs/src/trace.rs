@@ -53,9 +53,9 @@ fn table() -> MutexGuard<'static, HashMap<String, SpanStat>> {
 ///
 /// When both gates are off the guard is inert: no allocation, no clock
 /// read, no lock — `enter` is two relaxed atomic loads and `drop` one
-/// branch. A span fires when either gate is on: `STPT_TRACE` feeds the
-/// aggregate table, `STPT_TRACE_EVENTS` additionally records timestamped
-/// begin/end events for [`crate::export::write_chrome_trace`].
+/// branch. A span fires when either gate is on: tracing feeds the
+/// aggregate table, span events additionally record timestamped
+/// begin/end events for [`crate::export::chrome_trace_json`].
 #[must_use = "a span guard measures the scope it is bound to; dropping it immediately records nothing useful"]
 pub struct SpanGuard {
     /// Full `/`-separated path, captured at entry. `None` when disabled.

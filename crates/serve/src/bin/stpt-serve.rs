@@ -17,7 +17,6 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 use stpt_serve::{serve, ReleaseCache, ReleaseSpec, ServerState};
 
 /// Parsed command line.
@@ -110,10 +109,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // Live telemetry: time-series ring + the metrics the /metrics
-    // endpoint renders.
+    // Live telemetry: the metrics the /metrics endpoint renders. Tracing,
+    // span events and the time-series ring stay off.
     stpt_obs::set_live_enabled(true);
-    stpt_obs::timeseries::start_collector(Duration::from_secs(1));
 
     let mut cache = ReleaseCache::new();
     for &eps_total in &args.eps {

@@ -8,7 +8,7 @@ use crate::release::ReleaseCache;
 use serde::Serialize;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
-use stpt_obs::httpd::{self, Request, RequestError};
+use stpt_obs::httpd::{self, Request, RequestError, Response};
 use stpt_queries::RangeQuery;
 
 /// Telemetry: HTTP requests handled, by any route.
@@ -45,35 +45,17 @@ impl ServerState {
     }
 }
 
-/// A rendered HTTP response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
-    /// Status line tail, e.g. `200 OK`.
-    pub status: &'static str,
-    /// `Content-Type` header value.
-    pub content_type: &'static str,
-    /// Response body.
-    pub body: String,
+fn json_response(status: &'static str, body: String) -> Response {
+    Response {
+        status,
+        content_type: "application/json",
+        body,
+    }
 }
 
-impl Response {
-    fn json(status: &'static str, body: String) -> Self {
-        Response {
-            status,
-            content_type: "application/json",
-            body,
-        }
-    }
-
-    fn error(status: &'static str, msg: &str) -> Self {
-        ERRORS_TOTAL.add(1);
-        Response::json(status, format!("{{\"error\":{}}}", json_string(msg)))
-    }
-
-    /// Whether the status is a success.
-    pub fn is_ok(&self) -> bool {
-        self.status.starts_with('2')
-    }
+fn error_response(status: &'static str, msg: &str) -> Response {
+    ERRORS_TOTAL.add(1);
+    json_response(status, format!("{{\"error\":{}}}", json_string(msg)))
 }
 
 /// JSON-escape a string (the error path cannot assume serde round-trips).
@@ -110,11 +92,7 @@ pub fn handle_request(state: &ServerState, req: &Request) -> Response {
             content_type: "text/plain; charset=utf-8",
             body: "ok\n".to_string(),
         },
-        ("GET", "/metrics") | ("GET", "/") => Response {
-            status: "200 OK",
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: stpt_obs::prometheus::render(),
-        },
+        ("GET", "/metrics") | ("GET", "/") => stpt_obs::prometheus::scrape(),
         ("GET", "/releases") => releases_route(state),
         ("GET", "/query") => {
             let start = Instant::now();
@@ -138,7 +116,7 @@ pub fn handle_request(state: &ServerState, req: &Request) -> Response {
                 body: "shutting down\n".to_string(),
             }
         }
-        _ => Response::error(
+        _ => error_response(
             "404 Not Found",
             "routes: GET /healthz /metrics /releases /query, POST /query /shutdown",
         ),
@@ -153,7 +131,7 @@ fn releases_route(state: &ServerState) -> Response {
         let proof = match release.prove() {
             Ok(p) => p,
             Err(e) => {
-                return Response::error(
+                return error_response(
                     "500 Internal Server Error",
                     &format!("release '{}' failed its ε-freeness proof: {e}", release.id),
                 )
@@ -173,8 +151,8 @@ fn releases_route(state: &ServerState) -> Response {
         });
     }
     match serde_json::to_string(&summaries) {
-        Ok(body) => Response::json("200 OK", body),
-        Err(e) => Response::error("500 Internal Server Error", &format!("serialize: {e}")),
+        Ok(body) => json_response("200 OK", body),
+        Err(e) => error_response("500 Internal Server Error", &format!("serialize: {e}")),
     }
 }
 
@@ -186,19 +164,19 @@ fn single_query_route(state: &ServerState, query_string: &str) -> Response {
     for pair in query_string.split('&').filter(|p| !p.is_empty()) {
         let (key, value) = match pair.split_once('=') {
             Some(kv) => kv,
-            None => return Response::error("400 Bad Request", &format!("bad parameter '{pair}'")),
+            None => return error_response("400 Bad Request", &format!("bad parameter '{pair}'")),
         };
         if key == "release" {
             release_id = Some(value.to_string());
             continue;
         }
         let Some(slot) = KEYS.iter().position(|k| *k == key) else {
-            return Response::error("400 Bad Request", &format!("unknown parameter '{key}'"));
+            return error_response("400 Bad Request", &format!("unknown parameter '{key}'"));
         };
         match value.parse::<usize>() {
             Ok(v) => coords[slot] = Some(v),
             Err(_) => {
-                return Response::error(
+                return error_response(
                     "400 Bad Request",
                     &format!("parameter '{key}' is not a non-negative integer: '{value}'"),
                 )
@@ -210,7 +188,7 @@ fn single_query_route(state: &ServerState, query_string: &str) -> Response {
         match slot {
             Some(v) => resolved[i] = *v,
             None => {
-                return Response::error(
+                return error_response(
                     "400 Bad Request",
                     &format!("missing parameter '{}'", KEYS[i]),
                 )
@@ -218,7 +196,7 @@ fn single_query_route(state: &ServerState, query_string: &str) -> Response {
         }
     }
     let Some(release) = state.cache.get(release_id.as_deref()) else {
-        return Response::error(
+        return error_response(
             "404 Not Found",
             &format!("unknown release '{}'", release_id.unwrap_or_default()),
         );
@@ -232,17 +210,17 @@ fn single_query_route(state: &ServerState, query_string: &str) -> Response {
         release.shape,
     ) {
         Ok(q) => q,
-        Err(e) => return Response::error("400 Bad Request", &e.to_string()),
+        Err(e) => return error_response("400 Bad Request", &e.to_string()),
     };
     let answers = answer_batch(&release.prefix, std::slice::from_ref(&query));
     release.note_queries(1);
     match answers.first() {
-        Some(Ok(sum)) => Response::json(
+        Some(Ok(sum)) => json_response(
             "200 OK",
             format!("{{\"release\":{},\"sum\":{sum}}}", json_string(&release.id)),
         ),
-        Some(Err(e)) => Response::error("400 Bad Request", &e.to_string()),
-        None => Response::error("500 Internal Server Error", "empty batch result"),
+        Some(Err(e)) => error_response("400 Bad Request", &e.to_string()),
+        None => error_response("500 Internal Server Error", "empty batch result"),
     }
 }
 
@@ -258,11 +236,11 @@ fn batch_query_route(state: &ServerState, body: &[u8]) -> Response {
     STAGE_PARSE_US.observe(micros_since(start));
     let batch = match batch {
         Ok(b) => b,
-        Err(e) => return Response::error("400 Bad Request", &format!("bad batch request: {e}")),
+        Err(e) => return error_response("400 Bad Request", &format!("bad batch request: {e}")),
     };
     let start = Instant::now();
     let Some(release) = state.cache.get(batch.release) else {
-        return Response::error(
+        return error_response(
             "404 Not Found",
             &format!("unknown release '{}'", batch.release.unwrap_or_default()),
         );
@@ -274,8 +252,8 @@ fn batch_query_route(state: &ServerState, body: &[u8]) -> Response {
     let body = encode_answers(&release.id, &answers);
     STAGE_ENCODE_US.observe(micros_since(start));
     match body {
-        Ok(body) => Response::json("200 OK", body),
-        Err(e) => Response::error("500 Internal Server Error", &format!("serialize: {e}")),
+        Ok(body) => json_response("200 OK", body),
+        Err(e) => error_response("500 Internal Server Error", &format!("serialize: {e}")),
     }
 }
 
@@ -295,12 +273,12 @@ pub fn handle_bytes(state: &ServerState, raw: &[u8]) -> Option<Response> {
         httpd::DEFAULT_BODY_CAP,
     ) {
         Ok(req) => Some(handle_request(state, &req)),
-        Err(RequestError::TooLarge) => Some(Response::error(
+        Err(RequestError::TooLarge) => Some(error_response(
             "413 Payload Too Large",
             "request exceeds byte cap",
         )),
         Err(RequestError::Malformed) => {
-            Some(Response::error("400 Bad Request", "malformed request"))
+            Some(error_response("400 Bad Request", "malformed request"))
         }
         Err(RequestError::Io) => None,
     }

@@ -6,10 +6,10 @@
 //! dataset × ε (each cached release is keyed by a deterministic release
 //! id), holds the release's 3-D prefix-sum table in memory, and answers
 //! arbitrary range queries from concurrent clients over a std-only
-//! TCP/HTTP protocol — the same dependency-free style as
-//! [`stpt_obs::prometheus`], sharing its byte-capped request reader
-//! ([`stpt_obs::httpd`]) so hostile clients cannot grow buffers without
-//! bound.
+//! TCP/HTTP protocol. It runs on the same accept loop as
+//! [`stpt_obs::prometheus`]'s scrape endpoint ([`stpt_obs::httpd::serve`])
+//! and shares its byte-capped request reader, so hostile clients cannot
+//! grow buffers without bound.
 //!
 //! **Privacy.** Answering queries over a sanitized release is pure
 //! post-processing (Theorem 3): it spends zero ε no matter how many
@@ -44,7 +44,8 @@ pub mod release;
 pub mod server;
 
 pub use engine::answer_batch;
-pub use http::{handle_request, Response, ServerState};
+pub use http::{handle_request, ServerState};
 pub use ledger::{ServingLedger, ServingProof};
 pub use release::{CachedRelease, ReleaseCache, ReleaseSpec, ServeError};
 pub use server::{serve, ServeHandle};
+pub use stpt_obs::httpd::Response;

@@ -1,8 +1,9 @@
 //! Violating: the live-metrics env vars (`STPT_METRICS_ADDR`,
 //! `STPT_METRICS_PERIOD`) and the resource-sampling gate
-//! (`STPT_RESOURCES`) are sanctioned only inside `crates/obs` —
-//! reading them anywhere else would fork the exporter's configuration
-//! surface and break hermeticity.
+//! (`STPT_RESOURCES`) are read only at the bench harness entry
+//! (`ExperimentEnv::from_env`, into `stpt_obs::ObsConfig`) — reading them
+//! anywhere else, `crates/obs` included, would fork the exporter's
+//! configuration surface and break hermeticity.
 pub fn rogue_scrape_addr() -> Option<String> {
     std::env::var("STPT_METRICS_ADDR").ok()
 }

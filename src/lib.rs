@@ -16,8 +16,9 @@
 //! * [`baselines`] (`stpt-baselines`) — Identity, Fourier, Wavelet, FAST,
 //!   LGAN-DP and WPO.
 //! * [`obs`] (`stpt-obs`) — hermetic observability: phase spans, the
-//!   metrics registry and the DP budget audit ledger (gated by
-//!   `STPT_TRACE`).
+//!   metrics registry and the DP budget audit ledger, behind plain
+//!   switches set from one `ObsConfig` (the bench harness parses it from
+//!   `STPT_TRACE` and its siblings; the library reads no environment).
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
