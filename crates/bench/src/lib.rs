@@ -17,6 +17,7 @@
 
 use rand::SeedableRng;
 use serde::Serialize;
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 use stpt_baselines::{Fast, Fourier, Identity, LganDp, Mechanism, Wavelet, Wpo};
@@ -36,9 +37,9 @@ static BENCH_THREADS: stpt_obs::Gauge = stpt_obs::Gauge::new("bench.threads");
 /// `STPT_THREADS` settings.
 static BENCH_WALL_SECS: stpt_obs::Gauge = stpt_obs::Gauge::new("bench.wall_secs");
 static PROCESS_START: OnceLock<Instant> = OnceLock::new();
-/// The observability settings [`ExperimentEnv::from_env`] applied; their
-/// telemetry directory is where [`emit_result`] writes.
-static OBS: OnceLock<stpt_obs::ObsConfig> = OnceLock::new();
+/// Telemetry directory of the observability settings
+/// [`ExperimentEnv::from_env`] applied; [`emit_result`] writes there.
+static TELEMETRY_DIR: OnceLock<PathBuf> = OnceLock::new();
 
 /// Scale parameters shared by all experiments.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -69,10 +70,10 @@ impl ExperimentEnv {
         // settings start the collector ring and the Prometheus scrape
         // listener. Strictly read-only over results — envelopes are
         // byte-identical with every exporter on or off (checked in CI).
-        OBS.get_or_init(|| {
+        TELEMETRY_DIR.get_or_init(|| {
             let config = stpt_obs::ObsConfig::from_lookup(var);
             config.apply();
-            config
+            config.telemetry_dir
         });
         let get = |k: &str, d: usize| var(k).and_then(|v| v.parse().ok()).unwrap_or(d);
         ExperimentEnv {
@@ -337,12 +338,10 @@ pub fn emit_result<T: Serialize>(name: &str, env: &ExperimentEnv, value: &T) {
     if let Err(e) = std::fs::write(&path, doc) {
         stpt_obs::diag!("warning: could not write {}: {e}", path.display());
     }
-    let telemetry_dir = OBS
-        .get()
-        .map_or(std::path::Path::new(stpt_obs::export::DEFAULT_DIR), |obs| {
-            obs.telemetry_dir.as_path()
-        });
-    stpt_obs::export::write_files(telemetry_dir, name);
+    // No settings applied means every exporter is off: nothing to write.
+    if let Some(telemetry_dir) = TELEMETRY_DIR.get() {
+        stpt_obs::export::write_files(telemetry_dir, name);
+    }
 }
 
 /// Format a markdown-style table row.

@@ -28,10 +28,6 @@ pub const DEFAULT_HEAD_CAP: usize = 8 * 1024;
 /// JSON query batches, small enough to bound per-connection memory.
 pub const DEFAULT_BODY_CAP: usize = 1024 * 1024;
 
-/// Per-connection socket timeout: a client that stalls longer than this
-/// mid-request is dropped rather than pinning an acceptor.
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Bytes of unread request drained before answering an error, so the
 /// kernel does not RST the response away on close.
 const ERROR_DRAIN_CAP: usize = 256 * 1024;
@@ -222,6 +218,10 @@ fn error_response<W: Write>(w: &mut W, e: RequestError) {
 /// What one listener serves. Implementors answer requests; the two
 /// provided hooks let a daemon stop its acceptors and count connections.
 pub trait Service: Send + Sync + 'static {
+    /// Per-connection socket timeout: a client that stalls longer than
+    /// this mid-request is dropped rather than pinning an acceptor.
+    const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
+
     /// Answer one parsed request. Must not panic on any input.
     fn respond(&self, req: &Request) -> Response;
 
@@ -334,8 +334,8 @@ fn acceptor_loop<S: Service>(
 /// Handle one connection: capped read, respond. Every failure mode is a
 /// status code or a dropped connection — never a panic.
 fn handle_conn<S: Service>(service: &S, mut stream: TcpStream, body_cap: usize) {
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_read_timeout(Some(S::SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(S::SOCKET_TIMEOUT));
     let Ok(reader) = stream.try_clone() else {
         return;
     };

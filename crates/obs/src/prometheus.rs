@@ -15,6 +15,7 @@
 
 use crate::httpd::{self, Request, Response};
 use crate::metrics;
+use std::time::Duration;
 
 /// Prefix stamped onto every exported metric family.
 const PREFIX: &str = "stpt_";
@@ -165,6 +166,10 @@ pub fn scrape() -> Response {
 pub struct Scrape;
 
 impl httpd::Service for Scrape {
+    /// One acceptor serves every scrape, so a stalled client is cut off
+    /// sooner than on the daemon.
+    const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
+
     fn respond(&self, req: &Request) -> Response {
         if req.method == "GET" && (req.path == "/metrics" || req.path == "/") {
             scrape()
